@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import ext_secondary
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
-)
-from repro.core.vectorized import layer_trial_batch
+from repro.core.secondary import SecondaryUncertainty
+from repro.core.vectorized import layer_trial_batch, layer_trial_batch_secondary
 from repro.lookup.factory import build_layer_lookups
 
 
@@ -35,7 +32,7 @@ def test_secondary_uncertainty_kernel(benchmark, kernel_inputs):
     dense, lookups, terms = kernel_inputs
     su = SecondaryUncertainty(4.0, 4.0)
     year = benchmark(
-        layer_trial_batch_secondary, dense, lookups, terms, su, 42
+        layer_trial_batch_secondary, dense, lookups, terms, su, stream_key=42
     )
     benchmark.extra_info["multiplier_cv"] = su.multiplier_cv
     assert np.all(year >= 0)

@@ -185,6 +185,7 @@ def secondary_rows(workload, spec):
                     yet.max_events_per_trial,
                     itemsize,
                     secondary=True,
+                    n_elts=max(layer.n_elts for layer in portfolio.layers),
                 ),
                 "ragged_peak_intermediate_bytes": pool.peak_bytes,
             }
@@ -255,9 +256,9 @@ def test_ragged_peak_memory_halved(fusion_rows, dtype_label):
 @pytest.mark.parametrize("dtype_label", ["float64", "float32"])
 def test_secondary_ragged_not_slower_than_dense(secondary_rows, dtype_label):
     """CI regression guard: the fused secondary path must never fall
-    below 1.0x over dense secondary (it typically lands well above the
-    1.5x target — the counter-based inverse-transform sampler replaces
-    per-slot rejection sampling)."""
+    below 1.0x over dense secondary.  Both draw from the same sampler;
+    the fused path wins by gathering and scaling in cache-sized chunks
+    instead of padded full-batch blocks."""
     row = next(r for r in secondary_rows if r["dtype"] == dtype_label)
     assert row["speedup"] >= 1.0, row
 

@@ -1,4 +1,4 @@
-"""Kernel-backend registry: ``numpy`` | ``numba`` | optional ``cupy``.
+"""Kernel-backend registry: ``numpy`` | ``numba``.
 
 The plan executor (and every other dispatch site of the fused ragged
 kernel — the quote service's base-vector fill, the fleet worker's
@@ -15,7 +15,7 @@ Selection precedence (first match wins):
 
 The special name ``auto`` picks the best *available* backend (highest
 ``priority``; compiled backends outrank the oracle).  A requested
-backend that is unavailable — Numba not installed, no CUDA device —
+backend that is unavailable — Numba not installed —
 falls back to ``numpy`` and says so **once** per process via
 ``warnings`` and the ``repro.backends`` logger: fallback is
 silent-correct (results are oracle results) and loud-informative (you
@@ -41,7 +41,6 @@ import warnings
 from typing import Dict, List, Type
 
 from repro.backends.base import KernelBackend, NumpyBackend
-from repro.backends.cupy_backend import CupyBackend
 from repro.backends.numba_backend import NumbaBackend
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "available_backends",
     "backend_names",
     "get_backend",
@@ -99,7 +97,6 @@ def unregister_backend(name: str) -> None:
 
 register_backend(NumpyBackend)
 register_backend(NumbaBackend)
-register_backend(CupyBackend)
 
 
 def backend_names() -> List[str]:

@@ -591,14 +591,13 @@ def kernel_ablation_secondary(
     measure: bool = True,
     repeats: int = 5,
 ) -> ExperimentReport:
-    """Secondary-uncertainty kernels: dense rejection-sampled vs fused.
+    """Secondary-uncertainty kernels: dense vs fused ragged.
 
-    The dense path draws ``rng.beta`` per padded (occurrence, ELT) slot;
-    the fused ragged path samples counter-based inverse-transform
-    multipliers directly into pooled scratch inside the stacked-gather
-    chunk.  Same Beta damage-ratio model, same mean-1 guarantee — the
-    ablation quantifies the sampling formulation's speedup and the
-    memory-footprint gap.
+    Both paths draw the same counter-based inverse-transform multipliers.
+    The dense path draws one block per trial batch and scales each
+    ELT's padded gather with it; the fused ragged path samples into
+    pooled scratch inside the stacked-gather chunk.  The ablation
+    quantifies the fusion's speedup and the memory-footprint gap.
     """
     from repro.core.kernels import dense_intermediate_bytes, run_ragged
     from repro.core.secondary import SecondaryUncertainty
@@ -648,6 +647,7 @@ def kernel_ablation_secondary(
                         yet.max_events_per_trial,
                         itemsize,
                         secondary=True,
+                        n_elts=max(layer.n_elts for layer in portfolio.layers),
                     )
                 else:
                     peak = pool.peak_bytes
@@ -670,11 +670,10 @@ def kernel_ablation_secondary(
                 "less peak intermediate memory."
             )
     report.note(
-        "the fused path replaces per-slot Beta rejection sampling with "
-        "one Philox uniform + quantile-table read per (occurrence, ELT) "
-        "pair, sampled into pooled scratch beside the gathered block; "
-        "draws are keyed by global occurrence index, so results are "
-        "invariant to batching and engine decomposition."
+        "both paths draw one Philox uniform + quantile-table read per "
+        "(occurrence, ELT) pair, keyed by global occurrence index; the "
+        "fused path samples into pooled scratch beside the gathered "
+        "chunk instead of materialising a padded multiplier block."
     )
     report.note(
         "chunk geometry follows this host's detected L2 budget "
@@ -1581,8 +1580,8 @@ def ext_secondary(
     measured_spec: WorkloadSpec = DEFAULT_MEASURED, measure: bool = True
 ) -> ExperimentReport:
     """Secondary uncertainty: distributional cost and statistical effect."""
-    from repro.core.secondary import SecondaryUncertainty, layer_trial_batch_secondary
-    from repro.core.vectorized import layer_trial_batch
+    from repro.core.secondary import SecondaryUncertainty
+    from repro.core.vectorized import layer_trial_batch, layer_trial_batch_secondary
     from repro.lookup.factory import build_layer_lookups
 
     report = ExperimentReport(
@@ -1610,7 +1609,7 @@ def ext_secondary(
             else:
                 started = time.perf_counter()
                 year = layer_trial_batch_secondary(
-                    dense, lookups, layer.terms, su, seed=42
+                    dense, lookups, layer.terms, su, stream_key=42
                 )
                 seconds = time.perf_counter() - started
             report.add(

@@ -15,8 +15,8 @@
   :class:`~repro.core.analysis.AggregateRiskAnalysis` entry point.
 * :mod:`repro.core.secondary` — the paper's future-work extension:
   secondary uncertainty (per-event loss distributions) inside the
-  kernel, with counter-based decomposition-invariant sampling on the
-  ragged path.
+  kernel, with one counter-based decomposition-invariant sampler shared
+  by the dense and ragged paths.
 """
 
 from repro.core.terms import (
@@ -27,6 +27,7 @@ from repro.core.terms import (
 from repro.core.algorithm import aggregate_risk_analysis_reference
 from repro.core.vectorized import (
     layer_trial_batch,
+    layer_trial_batch_secondary,
     run_vectorized,
 )
 from repro.core.kernels import (
@@ -41,7 +42,7 @@ from repro.core.kernels import (
     segment_sums,
 )
 from repro.core.analysis import AggregateRiskAnalysis, AnalysisResult
-from repro.core.secondary import SecondaryUncertainty, layer_trial_batch_secondary
+from repro.core.secondary import SecondaryUncertainty
 from repro.core.occurrence import max_occurrence_losses, occurrence_frequency
 
 __all__ = [

@@ -91,10 +91,10 @@ class AggregateRiskAnalysis:
     kernel:
         Numerical core: ``"ragged"`` (the fused zero-copy CSR kernel of
         :mod:`repro.core.kernels`, the default — ~2-3x faster than dense
-        with ~2.5x less peak scratch, and the only path with
-        decomposition-invariant secondary sampling) or ``"dense"`` (the
-        legacy padded trial-block kernel, kept selectable as the
-        bit-for-bit baseline).
+        with ~2.5x less peak scratch) or ``"dense"`` (the legacy padded
+        trial-block kernel, kept selectable as the bit-for-bit
+        baseline).  Both draw secondary multipliers from the same
+        decomposition-invariant sampler.
     secondary:
         Optional :class:`~repro.core.secondary.SecondaryUncertainty`:
         sample per-(occurrence, ELT) damage-ratio multipliers inside the
@@ -103,8 +103,8 @@ class AggregateRiskAnalysis:
         Seed of the multiplier streams (ignored without ``secondary``).
     backend:
         Kernel backend the ragged path dispatches through on every run
-        — a registry name (``"numpy"``/``"numba"``/``"cupy"``/
-        ``"auto"``), a backend instance, or None to follow the
+        — a registry name (``"numpy"``/``"numba"``/``"auto"``), a
+        backend instance, or None to follow the
         ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
         :func:`repro.backends.resolve_backend`.  Backend choice never
         changes results (backends are pinned to the numpy oracle) or
@@ -229,13 +229,9 @@ class AggregateRiskAnalysis:
         drained by ``n_workers`` in-process worker threads, and
         assembled from the store into a YLT **bit-for-bit identical**
         to a monolithic :meth:`run` of the same numeric configuration
-        (the dense-secondary path additionally requires the engine's
-        own plan, the default here).  One documented exception: the
-        simulated-GPU engines' dense-secondary streams are seeded
-        engine-internally (``"gpu-dense-secondary"``), so for those
-        three configurations the fleet produces the *CPU-canonical*
-        bytes of the same plan (identical to ``execute_plan_cpu``)
-        rather than the GPU engine's private stream.
+        (dense float64 runs over trials of varying length are the one
+        caveat: their padded row sums can round differently per
+        segment width).
 
         ``queue_dir`` makes the sweep durable and shareable: external
         ``repro-fleet worker`` processes pointing at the same queue and

@@ -261,7 +261,11 @@ def autotune_batch_trials(
 
 
 def dense_intermediate_bytes(
-    n_trials_batch: int, max_events: int, itemsize: int = 8, secondary: bool = False
+    n_trials_batch: int,
+    max_events: int,
+    itemsize: int = 8,
+    secondary: bool = False,
+    n_elts: int = 1,
 ) -> int:
     """Estimated peak intermediate bytes of one dense-path batch.
 
@@ -270,17 +274,16 @@ def dense_intermediate_bytes(
     ``(batch, max_events)`` id matrix (int32), the combined block, the
     gather result and two term-application temporaries — four blocks of
     the working itemsize plus the 4-byte ids.  With ``secondary``, the
-    dense path additionally materialises a full-size float64 multiplier
-    matrix and the scaled-gross temporary it produces.  The
-    ``KERNEL-ABLATE`` experiments compare these estimates against the
-    ragged path's *measured* pool peak.
+    dense path additionally holds its padding mask (one byte per slot)
+    and the ``(n_elts, n_occ)`` multiplier block of the working
+    itemsize for the whole batch, charged here at one occurrence per
+    slot.  The ``KERNEL-ABLATE`` experiments compare these estimates
+    against the ragged path's *measured* pool peak.
     """
     block = int(n_trials_batch) * int(max_events)
     per_slot = 4 + 4 * int(itemsize)
     if secondary:
-        # rng-sampled multipliers are always float64; `gross * multipliers`
-        # adds one more block at the promoted itemsize.
-        per_slot += 8 + max(8, int(itemsize))
+        per_slot += 1 + max(1, int(n_elts)) * int(itemsize)
     return block * per_slot
 
 

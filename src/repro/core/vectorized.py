@@ -19,17 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.secondary import SecondaryUncertainty
 from repro.core.terms import (
     apply_aggregate_terms_cumulative,
     apply_occurrence_terms,
 )
+from repro.data.catalog import NULL_EVENT_ID
 from repro.data.layer import LayerTerms, Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.lookup.base import LossLookup
-from repro.lookup.factory import cached_layer_lookups
+from repro.utils.rng import SeedLike
 from repro.utils.timer import (
-    ACTIVITY_FETCH,
     ACTIVITY_FINANCIAL,
     ACTIVITY_LAYER,
     ACTIVITY_LOOKUP,
@@ -66,18 +67,83 @@ def layer_trial_batch(
     numpy.ndarray
         1-D ``(n_trials,)`` year losses in ``float64``.
     """
+    return _dense_layer_losses(event_matrix, lookups, layer_terms, profile, dtype)
+
+
+def layer_trial_batch_secondary(
+    event_matrix: np.ndarray,
+    lookups: Sequence[LossLookup],
+    layer_terms: LayerTerms,
+    uncertainty: SecondaryUncertainty,
+    stream_key: int,
+    occ_base: int = 0,
+    profile: ActivityProfile | None = None,
+    dtype: np.dtype | type = np.float64,
+) -> np.ndarray:
+    """:func:`layer_trial_batch` with per-(occurrence, ELT) draws.
+
+    The same sampler as the fused ragged kernel
+    (:func:`~repro.core.kernels.layer_trial_batch_secondary_ragged`): one
+    :meth:`~repro.core.secondary.SecondaryUncertainty.multipliers_for_span`
+    block over the block's global occurrences ``[occ_base, occ_base +
+    n_occ)``, whose row ``r`` scales ELT ``r``'s gross losses before its
+    financial terms apply.  The padded matrix holds the occurrences in
+    flat CSR order once its padding (event id 0) is masked out, so a
+    pair's multiplier depends only on ``(stream_key, global occurrence,
+    ELT)`` — never on how the trial space was cut into blocks.
+    """
+    if occ_base < 0:
+        raise ValueError(f"occ_base must be >= 0, got {occ_base}")
+    return _dense_layer_losses(
+        event_matrix,
+        lookups,
+        layer_terms,
+        profile,
+        dtype,
+        uncertainty=uncertainty,
+        stream_key=stream_key,
+        occ_base=occ_base,
+    )
+
+
+def _dense_layer_losses(
+    event_matrix: np.ndarray,
+    lookups: Sequence[LossLookup],
+    layer_terms: LayerTerms,
+    profile: ActivityProfile | None,
+    dtype: np.dtype | type,
+    uncertainty: SecondaryUncertainty | None = None,
+    stream_key: int = 0,
+    occ_base: int = 0,
+) -> np.ndarray:
+    """The one dense loop behind both public kernels."""
     profile = profile if profile is not None else ActivityProfile()
     matrix = np.asarray(event_matrix)
     if matrix.ndim != 2:
         raise ValueError(f"event_matrix must be 2-D, got shape {matrix.shape}")
     work_dtype = np.dtype(dtype)
 
+    multipliers = None
+    if uncertainty is not None:
+        with profile.track(ACTIVITY_FINANCIAL):
+            mask = matrix != NULL_EVENT_ID
+            n_occ = int(np.count_nonzero(mask))
+            multipliers = uncertainty.multipliers_for_span(
+                stream_key,
+                occ_base,
+                occ_base + n_occ,
+                len(lookups),
+                out=np.empty((len(lookups), n_occ), dtype=work_dtype),
+            )
+
     # Steps 1+2 (lines 4–14): per-occurrence losses, combined across ELTs.
     combined = np.zeros(matrix.shape, dtype=work_dtype)
-    for lookup in lookups:
+    for row, lookup in enumerate(lookups):
         with profile.track(ACTIVITY_LOOKUP):
             gross = lookup.lookup(matrix)
         with profile.track(ACTIVITY_FINANCIAL):
+            if multipliers is not None:
+                gross[mask] *= multipliers[row]
             net = lookup.terms.apply(gross)
             combined += net.astype(work_dtype, copy=False)
 
@@ -97,8 +163,8 @@ def run_vectorized(
     dtype: np.dtype | type = np.float64,
     batch_trials: int | None = None,
     profile: ActivityProfile | None = None,
-    secondary=None,
-    secondary_seed=None,
+    secondary: SecondaryUncertainty | None = None,
+    secondary_seed: SeedLike = None,
 ) -> YearLossTable:
     """Full analysis with the vectorised kernel, batched over trials.
 
@@ -107,60 +173,41 @@ def run_vectorized(
     (all trials in one batch) is fastest when it fits.
 
     ``secondary`` (a :class:`~repro.core.secondary.SecondaryUncertainty`)
-    switches every batch to the secondary-uncertainty kernel.  Each
-    (layer, batch) gets a seed hashed from ``secondary_seed``, so a run
-    is reproducible for a fixed decomposition — but unlike the ragged
-    path's counter-based streams, dense draws are *not* invariant to the
-    batch size.
+    switches every batch to :func:`layer_trial_batch_secondary`, whose
+    draws are keyed by ``secondary_seed`` and the global occurrence
+    index, so ``batch_trials`` never changes the multiplier a pair
+    receives.
+
+    Like :func:`~repro.core.kernels.run_ragged`, this is a single-slot
+    :class:`~repro.plan.planner.Planner` plan executed by
+    :func:`~repro.plan.execute.execute_plan_cpu`.
     """
-    profile = profile if profile is not None else ActivityProfile()
-    n_trials = yet.n_trials
-    batch = n_trials if batch_trials is None else max(1, int(batch_trials))
-    base_seed = None
-    if secondary is not None:
-        from repro.core.secondary import resolve_secondary_seed
+    # Deferred: repro.plan imports this module's kernels.
+    from repro.core.kernels import KERNEL_DENSE
+    from repro.plan.execute import execute_plan_cpu
+    from repro.plan.planner import EngineCapabilities, Planner
+    from repro.plan.scheduler import Scheduler
 
-        base_seed = resolve_secondary_seed(secondary_seed)
-
-    per_layer: dict[int, np.ndarray] = {}
-    for layer in portfolio.layers:
-        # Shared cache: layers (and repeated runs) with the same ELT
-        # objects reuse one build instead of rebuilding per layer.
-        with profile.track(ACTIVITY_FETCH):
-            lookups = cached_layer_lookups(
-                portfolio.elts_of(layer),
-                catalog_size=catalog_size,
-                kind=lookup_kind,
-                dtype=dtype,
-            )
-        out = np.empty(n_trials, dtype=np.float64)
-        for start in range(0, n_trials, batch):
-            stop = min(start + batch, n_trials)
-            chunk = yet.slice_trials(start, stop)
-            with profile.track(ACTIVITY_FETCH):
-                dense = chunk.to_dense()
-            if secondary is not None:
-                from repro.core.secondary import layer_trial_batch_secondary
-                from repro.utils.rng import stable_hash_seed
-
-                out[start:stop] = layer_trial_batch_secondary(
-                    dense,
-                    lookups,
-                    layer.terms,
-                    secondary,
-                    seed=stable_hash_seed(
-                        base_seed, "dense-secondary", layer.layer_id, start
-                    ),
-                    profile=profile,
-                    dtype=dtype,
-                )
-            else:
-                out[start:stop] = layer_trial_batch(
-                    dense,
-                    lookups,
-                    layer.terms,
-                    profile=profile,
-                    dtype=dtype,
-                )
-        per_layer[layer.layer_id] = out
-    return YearLossTable.from_dict(per_layer)
+    caps = EngineCapabilities(
+        engine="run-vectorized",
+        n_slots=1,
+        kernel=KERNEL_DENSE,
+        batch_trials=max(
+            1, int(yet.n_trials if batch_trials is None else batch_trials)
+        ),
+        dtype=np.dtype(dtype).str,
+        secondary=secondary is not None,
+    )
+    plan = Planner().plan(yet, portfolio, caps)
+    return execute_plan_cpu(
+        yet,
+        portfolio,
+        catalog_size,
+        plan,
+        lookup_kind=lookup_kind,
+        dtype=dtype,
+        secondary=secondary,
+        secondary_seed=secondary_seed,
+        profile=profile,
+        scheduler=Scheduler(max_workers=1),
+    )

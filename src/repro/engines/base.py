@@ -74,15 +74,14 @@ class Engine(abc.ABC):
     secondary:
         Optional :class:`~repro.core.secondary.SecondaryUncertainty`:
         per-(occurrence, ELT) damage-ratio multipliers applied inside the
-        kernel.  The ragged path samples them with counter-based streams
-        keyed by global occurrence index (reproducible for a given
-        ``secondary_seed`` and invariant to engine decomposition); the
-        dense path draws per batch.
+        kernel, from counter-based streams keyed by global occurrence
+        index (reproducible for a given ``secondary_seed`` and invariant
+        to kernel path and engine decomposition).
     secondary_seed:
         Seed of the multiplier streams (ignored without ``secondary``).
     backend:
         Kernel backend the ragged path dispatches through — a registry
-        name (``"numpy"``/``"numba"``/``"cupy"``/``"auto"``), a
+        name (``"numpy"``/``"numba"``/``"auto"``), a
         :class:`~repro.backends.base.KernelBackend` instance, or None
         to follow the ``REPRO_KERNEL_BACKEND``-then-numpy precedence of
         :func:`repro.backends.resolve_backend`.  Deliberately absent

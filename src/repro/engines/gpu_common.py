@@ -47,26 +47,17 @@ import numpy as np
 from repro.core.kernels import (
     build_layer_tables,
     check_kernel,
-    layer_trial_batch_ragged,
-    layer_trial_batch_secondary_ragged,
     occ_chunk_for,
 )
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
-)
-from repro.core.terms import (
-    apply_aggregate_terms_cumulative,
-    apply_occurrence_terms,
-)
+from repro.core.secondary import SecondaryUncertainty
 from repro.data.layer import LayerTerms
 from repro.data.yet import YearEventTable
 from repro.gpusim.kernel import SimKernel
 from repro.gpusim.memory import DeviceCounters
 from repro.lookup.base import LossLookup
 from repro.lookup.combined import StackedDirectTable
+from repro.plan.execute import block_losses, fetch_block
 from repro.utils.bufpool import ScratchBufferPool
-from repro.utils.rng import stable_hash_seed
 from repro.utils.timer import (
     ACTIVITY_FETCH,
     ACTIVITY_FINANCIAL,
@@ -399,9 +390,9 @@ class _ARAKernelBase(SimKernel):
         # through (the traffic ledger never depends on it).
         self.backend = backend
         # Global occurrence index of this (sub-)YET's first occurrence:
-        # multi-device engines pass their slice's origin so the ragged
-        # path's counter-based secondary draws stay decomposition-
-        # invariant across device counts.
+        # multi-device engines pass their slice's origin so the
+        # counter-based secondary draws stay decomposition-invariant
+        # across device counts.
         self.occ_origin = int(occ_origin)
         self._pool = ScratchBufferPool()
 
@@ -418,69 +409,23 @@ class _ARAKernelBase(SimKernel):
         """Occurrence-chunk depth of the fused ragged gather."""
         return occ_chunk_for(max(1, self.n_elts), self.word_bytes)
 
-    def _compute_range(self, start: int, stop: int) -> tuple[np.ndarray, int]:
-        """Functional work for trials [start, stop): returns (year, n_occ)."""
-        if self.kernel == "ragged":
-            ids, offs = self.yet.csr_block(start, stop)
-            if self.secondary is not None:
-                year = layer_trial_batch_secondary_ragged(
-                    ids,
-                    offs,
-                    self.lookups,
-                    self.layer_terms,
-                    self.secondary,
-                    self.secondary_stream_key,
-                    stacked=self.stacked,
-                    occ_base=self.occ_origin + int(self.yet.offsets[start]),
-                    dtype=self.dtype,
-                    pool=self._pool,
-                    backend=self.backend,
-                )
-            else:
-                year = layer_trial_batch_ragged(
-                    ids,
-                    offs,
-                    self.lookups,
-                    self.layer_terms,
-                    stacked=self.stacked,
-                    dtype=self.dtype,
-                    pool=self._pool,
-                    backend=self.backend,
-                )
-            self.out[start:stop] = year
-            return year, ids.size
-        chunk = self.yet.slice_trials(start, stop)
-        dense = chunk.to_dense()
-        if self.secondary is not None:
-            # occ_origin distinguishes devices of a multi-GPU split whose
-            # sub-YETs all start their local batch ranges at 0 — without
-            # it two devices would replay identical multiplier streams
-            # on different trials.
-            year = layer_trial_batch_secondary(
-                dense,
-                self.lookups,
-                self.layer_terms,
-                self.secondary,
-                seed=stable_hash_seed(
-                    self.secondary_stream_key,
-                    "gpu-dense-secondary",
-                    self.occ_origin,
-                    start,
-                ),
-                dtype=self.dtype,
-            )
-            self.out[start:stop] = year
-            return year, chunk.n_occurrences
-        combined = np.zeros(dense.shape, dtype=self.dtype)
-        for lookup in self.lookups:
-            gross = lookup.lookup(dense)
-            net = lookup.terms.apply(gross)
-            combined += net.astype(self.dtype, copy=False)
-        occ = apply_occurrence_terms(combined, self.layer_terms, out=combined)
-        totals = occ.sum(axis=1, dtype=np.float64)
-        year = apply_aggregate_terms_cumulative(totals, self.layer_terms)
-        self.out[start:stop] = year
-        return year, chunk.n_occurrences
+    def _compute_range(self, start: int, stop: int) -> int:
+        """Functional work for trials [start, stop); returns its n_occ."""
+        lo = int(self.yet.offsets[start])
+        self.out[start:stop] = block_losses(
+            fetch_block(self.yet, start, stop, self.kernel),
+            self.lookups,
+            self.stacked,
+            self.layer_terms,
+            self.kernel,
+            self.dtype,
+            secondary=self.secondary,
+            stream_key=self.secondary_stream_key,
+            occ_base=self.occ_origin + lo,
+            pool=self._pool,
+            backend=self.backend,
+        )
+        return int(self.yet.offsets[stop]) - lo
 
 
 class ARABasicKernel(_ARAKernelBase):
@@ -499,7 +444,7 @@ class ARABasicKernel(_ARAKernelBase):
     barrier_intensity = 0.0
 
     def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        _, n_occ = self._compute_range(start, stop)
+        n_occ = self._compute_range(start, stop)
         if self.kernel == "ragged":
             record_ragged_traffic(
                 counters,
@@ -581,7 +526,7 @@ class ARAOptimizedKernel(_ARAKernelBase):
 
     # -- execution ----------------------------------------------------------
     def run_range(self, start: int, stop: int, counters: DeviceCounters) -> None:
-        _, n_occ = self._compute_range(start, stop)
+        n_occ = self._compute_range(start, stop)
         if self.kernel == "ragged":
             record_ragged_traffic(
                 counters,

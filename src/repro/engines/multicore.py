@@ -16,7 +16,7 @@ With ``kernel="ragged"`` (the default) lanes are cut at equal cumulative
 so ragged YETs hand every worker a near-equal share of actual lookups;
 inside a lane, tasks stream through the executor's double-buffered fetch
 (chunk fetch overlaps reduce, matching the sequential engine).  The
-dense kernel keeps the paper's equal-trial split, one task per lane.
+dense kernel keeps the paper's equal-trial split, streamed the same way.
 """
 
 from __future__ import annotations
@@ -85,15 +85,13 @@ class MulticoreEngine(Engine):
         return self.n_cores * self.threads_per_core
 
     def capabilities(self) -> EngineCapabilities:
-        # Ragged lanes sub-batch (streaming double buffer); dense lanes
-        # stay whole so the dense secondary stream keeps its historical
-        # chunk-start seeds.
+        # Lanes sub-batch (streaming double buffer) on both kernels.
         return EngineCapabilities(
             engine=self.name,
             n_slots=self.n_logical_threads,
             kernel=self.kernel,
             balance="auto",
-            slot_batching="batched" if self.kernel == "ragged" else "whole",
+            slot_batching="batched",
             dtype=self.dtype.str,
             secondary=self.secondary is not None,
         )

@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--backend",
         default=None,
-        help="kernel backend for segment computes (numpy/numba/cupy/"
-        "auto; default follows $REPRO_KERNEL_BACKEND, then numpy). "
+        help="kernel backend for segment computes (numpy/numba/auto; "
+        "default follows $REPRO_KERNEL_BACKEND, then numpy). "
         "Never part of store keys — fleets may mix backends freely.",
     )
     worker.add_argument("--max-jobs", type=int, default=None)

@@ -16,9 +16,13 @@ here.  Per layer the executor:
    ``N``'s reduce on every lane — the double-buffering the sequential
    engine had and the multicore workers previously lacked.
 
-Outputs are written at each task's *global* trial range, and the ragged
+Outputs are written at each task's *global* trial range, and both
 kernels key all stochastic state by global occurrence index, so results
 are bit-for-bit identical for any scheduler concurrency.
+
+:func:`block_losses` is the one per-block kernel dispatch (ragged/dense
+x primary/secondary); the CPU executor, :func:`task_losses` (the fleet
+worker's unit) and the simulated-GPU kernels all call it.
 """
 
 from __future__ import annotations
@@ -34,19 +38,17 @@ from repro.core.kernels import (
     layer_trial_batch_ragged,
     layer_trial_batch_secondary_ragged,
 )
-from repro.core.secondary import (
-    layer_stream_key,
+from repro.core.secondary import layer_stream_key, resolve_secondary_seed
+from repro.core.vectorized import (
+    layer_trial_batch,
     layer_trial_batch_secondary,
-    resolve_secondary_seed,
 )
-from repro.core.vectorized import layer_trial_batch
 from repro.data.layer import Portfolio
 from repro.data.yet import YearEventTable
 from repro.data.ylt import YearLossTable
 from repro.plan.plan import ExecutionPlan, PlanTask
 from repro.plan.scheduler import Scheduler
 from repro.utils.bufpool import ScratchBufferPool, stream_batches
-from repro.utils.rng import stable_hash_seed
 from repro.utils.timer import ACTIVITY_FETCH, ActivityProfile
 
 
@@ -113,7 +115,6 @@ def execute_plan_cpu(
     base_seed = (
         resolve_secondary_seed(secondary_seed) if secondary is not None else 0
     )
-    ragged = plan.kernel == KERNEL_RAGGED
     backend_obj = resolve_backend(backend)
 
     per_layer: Dict[int, np.ndarray] = {}
@@ -141,90 +142,30 @@ def execute_plan_cpu(
             compute_profiles.append(wp)
             fetch_profiles.append(fp)
             pool = slot_pools[slot % len(slot_pools)]
-            if ragged:
 
-                def fetch(i: int, _slot_pool: ScratchBufferPool):
-                    task = tasks[i]
-                    with fp.track(ACTIVITY_FETCH):
-                        ids, offs = yet.csr_block(
-                            task.trial_start, task.trial_stop
-                        )
-                    return task, ids, offs
-
-                for task, ids, offs in stream_batches(fetch, len(tasks)):
-                    if secondary is not None:
-                        out[task.trial_start : task.trial_stop] = (
-                            layer_trial_batch_secondary_ragged(
-                                ids,
-                                offs,
-                                lookups,
-                                layer.terms,
-                                secondary,
-                                stream_key,
-                                stacked=stacked,
-                                occ_base=task.occ_start,
-                                profile=wp,
-                                dtype=dtype,
-                                pool=pool,
-                                backend=backend_obj,
-                            )
-                        )
-                    else:
-                        out[task.trial_start : task.trial_stop] = (
-                            layer_trial_batch_ragged(
-                                ids,
-                                offs,
-                                lookups,
-                                layer.terms,
-                                stacked=stacked,
-                                profile=wp,
-                                dtype=dtype,
-                                pool=pool,
-                                backend=backend_obj,
-                            )
-                        )
-                return
-
-            def fetch_dense(i: int, _slot_pool: ScratchBufferPool):
+            def fetch(i: int, _slot_pool: ScratchBufferPool):
                 task = tasks[i]
                 with fp.track(ACTIVITY_FETCH):
-                    dense = yet.slice_trials(
-                        task.trial_start, task.trial_stop
-                    ).to_dense()
-                return task, dense
+                    block = fetch_block(
+                        yet, task.trial_start, task.trial_stop, plan.kernel
+                    )
+                return task, block
 
-            for task, dense in stream_batches(fetch_dense, len(tasks)):
-                if secondary is not None:
-                    # Dense draws are sequential-stream, keyed by the
-                    # task's global trial start: reproducible for a
-                    # fixed plan, but (unlike ragged) not invariant to
-                    # the decomposition itself.
-                    out[task.trial_start : task.trial_stop] = (
-                        layer_trial_batch_secondary(
-                            dense,
-                            lookups,
-                            layer.terms,
-                            secondary,
-                            seed=stable_hash_seed(
-                                base_seed,
-                                "dense-secondary",
-                                layer.layer_id,
-                                task.trial_start,
-                            ),
-                            profile=wp,
-                            dtype=dtype,
-                        )
-                    )
-                else:
-                    out[task.trial_start : task.trial_stop] = (
-                        layer_trial_batch(
-                            dense,
-                            lookups,
-                            layer.terms,
-                            profile=wp,
-                            dtype=dtype,
-                        )
-                    )
+            for task, block in stream_batches(fetch, len(tasks)):
+                out[task.trial_start : task.trial_stop] = block_losses(
+                    block,
+                    lookups,
+                    stacked,
+                    layer.terms,
+                    plan.kernel,
+                    dtype,
+                    secondary=secondary,
+                    stream_key=stream_key,
+                    occ_base=task.occ_start,
+                    profile=wp,
+                    pool=pool,
+                    backend=backend_obj,
+                )
 
         scheduler.run_layer(plan, layer.layer_id, run_slot)
         for wp in compute_profiles:
@@ -243,8 +184,87 @@ def profile_merge_into(target: ActivityProfile, source: ActivityProfile) -> None
 
 
 # ----------------------------------------------------------------------
-# Single-task execution (the fleet worker's unit of work)
+# The kernel dispatch
 # ----------------------------------------------------------------------
+def fetch_block(yet: YearEventTable, start: int, stop: int, kernel: str):
+    """Kernel input for trials ``[start, stop)``.
+
+    The ragged path's zero-copy CSR views ``(event_ids, offsets)``, or
+    the dense path's padded ``(trials, events)`` id matrix.
+    """
+    if kernel == KERNEL_RAGGED:
+        return yet.csr_block(start, stop)
+    return yet.slice_trials(start, stop).to_dense()
+
+
+def block_losses(
+    block,
+    lookups,
+    stacked,
+    layer_terms,
+    kernel: str,
+    dtype: np.dtype | type = np.float64,
+    secondary=None,
+    stream_key: int = 0,
+    occ_base: int = 0,
+    profile: ActivityProfile | None = None,
+    pool: ScratchBufferPool | None = None,
+    backend: KernelBackend | str | None = None,
+) -> np.ndarray:
+    """Per-trial year losses of one fetched block (:func:`fetch_block`).
+
+    The single place a task picks its kernel: ragged or dense, primary
+    or secondary.  ``stream_key`` is the layer's multiplier stream
+    (:func:`~repro.core.secondary.layer_stream_key`) and ``occ_base``
+    the global occurrence index of the block's first occurrence; both
+    kernels address their draws by it, so any decomposition of the
+    trial space draws identical multipliers.  ``stacked``, ``pool`` and
+    ``backend`` only reach the ragged kernels.
+    """
+    if kernel == KERNEL_RAGGED:
+        ids, offs = block
+        if secondary is not None:
+            return layer_trial_batch_secondary_ragged(
+                ids,
+                offs,
+                lookups,
+                layer_terms,
+                secondary,
+                stream_key,
+                stacked=stacked,
+                occ_base=occ_base,
+                profile=profile,
+                dtype=dtype,
+                pool=pool,
+                backend=backend,
+            )
+        return layer_trial_batch_ragged(
+            ids,
+            offs,
+            lookups,
+            layer_terms,
+            stacked=stacked,
+            profile=profile,
+            dtype=dtype,
+            pool=pool,
+            backend=backend,
+        )
+    if secondary is not None:
+        return layer_trial_batch_secondary(
+            block,
+            lookups,
+            layer_terms,
+            secondary,
+            stream_key,
+            occ_base=occ_base,
+            profile=profile,
+            dtype=dtype,
+        )
+    return layer_trial_batch(
+        block, lookups, layer_terms, profile=profile, dtype=dtype
+    )
+
+
 def task_losses(
     yet: YearEventTable,
     layer,
@@ -261,60 +281,24 @@ def task_losses(
 ) -> np.ndarray:
     """Per-trial year losses of one plan task, on the CPU kernels.
 
-    This is the same kernel dispatch — arguments, stream keys, seeds —
-    as :func:`execute_plan_cpu`'s inner loops, exposed at single-task
-    granularity so a fleet worker computing one segment produces bytes
-    identical to a monolithic run of the containing plan.  (The full
-    executor keeps its own loop for the double-buffered fetch; any
-    change to the dispatch — including the ``backend`` threading — must
-    land in both, and the golden-YLT and fleet bitwise tests pin the
-    equivalence.)
+    :func:`fetch_block` + :func:`block_losses` for a single task — the
+    same dispatch :func:`execute_plan_cpu` runs — so a fleet worker
+    computing one segment produces bytes identical to a monolithic run
+    of the containing plan.
     """
-    profile = profile if profile is not None else ActivityProfile()
-    pool = pool if pool is not None else ScratchBufferPool()
-    if kernel == KERNEL_RAGGED:
-        ids, offs = yet.csr_block(task.trial_start, task.trial_stop)
-        if secondary is not None:
-            return layer_trial_batch_secondary_ragged(
-                ids,
-                offs,
-                lookups,
-                layer.terms,
-                secondary,
-                layer_stream_key(base_seed, layer.layer_id),
-                stacked=stacked,
-                occ_base=task.occ_start,
-                profile=profile,
-                dtype=dtype,
-                pool=pool,
-                backend=backend,
-            )
-        return layer_trial_batch_ragged(
-            ids,
-            offs,
-            lookups,
-            layer.terms,
-            stacked=stacked,
-            profile=profile,
-            dtype=dtype,
-            pool=pool,
-            backend=backend,
-        )
-    dense = yet.slice_trials(task.trial_start, task.trial_stop).to_dense()
-    if secondary is not None:
-        return layer_trial_batch_secondary(
-            dense,
-            lookups,
-            layer.terms,
-            secondary,
-            seed=stable_hash_seed(
-                base_seed, "dense-secondary", layer.layer_id, task.trial_start
-            ),
-            profile=profile,
-            dtype=dtype,
-        )
-    return layer_trial_batch(
-        dense, lookups, layer.terms, profile=profile, dtype=dtype
+    return block_losses(
+        fetch_block(yet, task.trial_start, task.trial_stop, kernel),
+        lookups,
+        stacked,
+        layer.terms,
+        kernel,
+        dtype,
+        secondary=secondary,
+        stream_key=layer_stream_key(base_seed, layer.layer_id),
+        occ_base=task.occ_start,
+        profile=profile,
+        pool=pool,
+        backend=backend,
     )
 
 

@@ -48,9 +48,9 @@ class PlanTask:
         Global trial range ``[trial_start, trial_stop)``.
     occ_start, occ_stop:
         Global occurrence range — ``yet.offsets[trial_start]`` /
-        ``yet.offsets[trial_stop]``.  This is what keys the secondary
-        path's counter-based multiplier streams, making draws invariant
-        to the decomposition.
+        ``yet.offsets[trial_stop]``.  This is what keys the counter-based
+        secondary multiplier streams, making draws invariant to the
+        decomposition.
     """
 
     task_id: int
@@ -85,9 +85,7 @@ class ExecutionPlan:
         Worker/device lanes the planner laid tasks onto (actual used
         lanes may be fewer when the trial space is small).
     kernel:
-        Kernel path the tasks assume (``"ragged"``/``"dense"``) — dense
-        tasks are *not* sub-batched freely because the dense secondary
-        stream is keyed by the task's trial start.
+        Kernel path the tasks assume (``"ragged"``/``"dense"``).
     balance:
         Resolved partitioning rule: ``"events"`` (equal cumulative
         occurrences, the multi-GPU engine's ragged rule) or

@@ -17,12 +17,10 @@ The policies reproduce the historical engines' decompositions exactly:
   counts otherwise (:func:`~repro.utils.parallel.chunk_ranges`);
 * batches: a fixed ``batch_trials`` when the engine pins one, the
   memory-budget :func:`~repro.core.kernels.autotune_batch_trials` for
-  ragged plans, and the legacy 8192-trial constant for dense plans
-  (whose secondary streams are keyed by batch start and therefore must
-  not float with a byte budget);
-* dense lanes are never sub-batched unless the engine opts in
-  (``slot_batching="batched"``), preserving the dense multicore path's
-  chunk-start-seeded draws bit-for-bit.
+  ragged plans, and the legacy 8192-trial constant for dense plans;
+* lanes are cut into batch tasks unless the engine asks for one task
+  per lane (``slot_batching="whole"``, the GPU engines' one launch per
+  device).
 """
 
 from __future__ import annotations
@@ -83,8 +81,7 @@ class EngineCapabilities:
     slot_batching:
         ``"batched"`` cuts each lane into batch tasks (enables the
         executors' double-buffered fetch); ``"whole"`` emits one task
-        per lane (the GPU engines' one-launch-per-device shape, and the
-        dense multicore path's chunk-start-seeded draws).
+        per lane (the GPU engines' one-launch-per-device shape).
     budget_bytes:
         Scratch budget handed to the ragged batch autotuner.
     dtype:
@@ -250,10 +247,7 @@ class Planner:
         Each segment gets its own ``slot`` (they are mutually
         independent), so the plan also executes directly on any engine
         or scheduler, with results bit-for-bit identical to the
-        engine's native decomposition on the ragged and dense-primary
-        paths (dense *secondary* draws are keyed by task start, making
-        decomposition part of result identity — use the engine's own
-        plan when replaying those).
+        engine's native decomposition.
         """
         check_positive("segment_trials", segment_trials)
         if yet.n_trials == 0:

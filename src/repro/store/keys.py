@@ -99,15 +99,26 @@ def fingerprint_digest(*parts: Any) -> str:
     return hashlib.sha256(canonical_bytes(tuple(parts))).hexdigest()
 
 
+#: names the multiplier sampler inside every secondary fingerprint, so
+#: keys persisted under a different sampler can never serve its bytes.
+SECONDARY_SAMPLER = "philox-quantile"
+
+
 def secondary_fingerprint(secondary, secondary_seed: int) -> tuple | None:
     """Identity of the secondary-uncertainty stream (or ``None``).
 
-    Keyed by the Beta shape parameters and the *resolved* base seed —
-    exactly what the counter-based multiplier streams derive from.
+    Keyed by the sampler, the Beta shape parameters and the *resolved*
+    base seed — exactly what the counter-based multiplier streams
+    derive from.
     """
     if secondary is None:
         return None
-    return (float(secondary.alpha), float(secondary.beta), int(secondary_seed))
+    return (
+        SECONDARY_SAMPLER,
+        float(secondary.alpha),
+        float(secondary.beta),
+        int(secondary_seed),
+    )
 
 
 def portfolio_fingerprint(portfolio: Portfolio) -> tuple:
@@ -139,9 +150,7 @@ def analysis_key(
     """The whole-analysis store key for one planned run.
 
     Covers everything that can change the YLT's bytes: the plan
-    fingerprint (task boundaries, kernel, balance — the dense secondary
-    path draws per-batch, so decomposition is part of result identity),
-    YET content, per-layer terms and ELT contents, working precision,
+    fingerprint (task boundaries, kernel, balance), YET content, per-layer terms and ELT contents, working precision,
     lookup representation, and the secondary stream.  Engine *name* is
     deliberately absent: engines with identical numeric configuration
     produce bit-identical YLTs and share replays.
@@ -215,11 +224,10 @@ def segment_key(
     untouched.
 
     Stochastic state re-introduces position exactly where the kernels
-    consume it: the ragged secondary path draws by *global occurrence
-    index* (``occ_start`` joins the key), the dense secondary path by
-    the task's *trial start* (``trial_start`` joins the key).  Primary
-    segments carry neither, so a repeated block of trials is recognised
-    as the same work wherever it lands.
+    consume it: secondary draws are addressed by *global occurrence
+    index*, so ``occ_start`` joins the key.  Primary segments carry no
+    position, so a repeated block of trials is recognised as the same
+    work wherever it lands.
 
     ``layer_fp`` lets a caller deriving many keys of one layer pass the
     precomputed :func:`layer_fingerprint` (the planner fingerprints
@@ -227,13 +235,10 @@ def segment_key(
     """
     stream = None
     if secondary is not None:
-        position = (
-            int(trial_start) if kernel == "dense" else int(occ_start)
-        )
         stream = (
             str(kernel),
             secondary_fingerprint(secondary, secondary_seed),
-            position,
+            int(occ_start),
         )
     if layer_fp is None:
         layer_fp = layer_fingerprint(portfolio, portfolio.layer(layer_id))

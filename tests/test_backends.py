@@ -27,7 +27,6 @@ import pytest
 import repro.backends as backends_mod
 from repro.backends import (
     KERNEL_BACKEND_ENV,
-    CupyBackend,
     KernelBackend,
     NumbaBackend,
     NumpyBackend,
@@ -140,7 +139,7 @@ def analysis_for(workload, **opts):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"numpy", "numba", "cupy"} <= set(backend_names())
+        assert {"numpy", "numba"} <= set(backend_names())
 
     def test_numpy_always_available_and_default(self):
         assert "numpy" in available_backends()
@@ -228,11 +227,6 @@ class TestResolution:
         monkeypatch.setitem(sys.modules, "numba", None)
         assert not NumbaBackend.available()
         assert "repro[compiled]" in NumbaBackend.unavailable_reason()
-
-    def test_cupy_unavailable_here_is_honest(self):
-        if CupyBackend.available():
-            pytest.skip("cupy installed: nothing to assert about absence")
-        assert CupyBackend.unavailable_reason() is not None
 
 
 # ----------------------------------------------------------------------

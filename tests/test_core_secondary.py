@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.secondary import (
-    SecondaryUncertainty,
-    layer_trial_batch_secondary,
-)
-from repro.core.vectorized import layer_trial_batch
+from repro.core.secondary import SecondaryUncertainty
+from repro.core.vectorized import layer_trial_batch, layer_trial_batch_secondary
 from repro.data.layer import LayerTerms
 from repro.lookup.factory import build_layer_lookups
 
 
 class TestSecondaryUncertainty:
-    def test_multiplier_mean_is_one(self, rng):
+    def test_multiplier_mean_is_one(self):
         su = SecondaryUncertainty(4.0, 4.0)
-        draws = su.sample_multipliers((200_000,), rng)
+        draws = su.multipliers_for_span(20130812, 0, 200_000, 1)
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_multipliers_nonnegative(self, rng):
+    def test_multipliers_nonnegative(self):
         su = SecondaryUncertainty(2.0, 5.0)
-        draws = su.sample_multipliers((10_000,), rng)
-        assert np.all(draws >= 0)
+        assert np.all(su.quantile_table() >= 0)
+        assert np.all(su.multipliers_for_span(5, 0, 10_000, 3) >= 0)
 
     def test_cv_decreases_with_concentration(self):
         loose = SecondaryUncertainty(2.0, 2.0)
@@ -42,8 +39,8 @@ class TestSecondaryUncertainty:
     )
     def test_rescaled_mean_always_one(self, alpha, beta):
         su = SecondaryUncertainty(alpha, beta)
-        rng = np.random.default_rng(0)
-        draws = su.sample_multipliers((50_000,), rng)
+        assert su.quantile_table().mean() == pytest.approx(1.0, abs=1e-12)
+        draws = su.multipliers_for_span(0, 0, 50_000, 1)
         assert abs(draws.mean() - 1.0) < 0.05
 
 
@@ -58,15 +55,15 @@ class TestSecondaryKernel:
     def test_deterministic_given_seed(self, tiny_workload):
         layer, lookups, dense = self._setup(tiny_workload)
         su = SecondaryUncertainty()
-        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
-        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
+        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, 1)
+        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, 1)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, tiny_workload):
         layer, lookups, dense = self._setup(tiny_workload)
         su = SecondaryUncertainty()
-        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=1)
-        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, seed=2)
+        a = layer_trial_batch_secondary(dense, lookups, layer.terms, su, 1)
+        b = layer_trial_batch_secondary(dense, lookups, layer.terms, su, 2)
         assert not np.array_equal(a, b)
 
     def test_mean_preserved_with_identity_layer_terms(
@@ -80,10 +77,10 @@ class TestSecondaryKernel:
         # Average many independent secondary draws.
         totals = np.zeros_like(base)
         n_draws = 30
-        for seed in range(n_draws):
+        for stream_key in range(n_draws):
             totals += layer_trial_batch_secondary(
                 dense, lookups, layer.terms,
-                SecondaryUncertainty(8.0, 8.0), seed=seed,
+                SecondaryUncertainty(8.0, 8.0), stream_key,
             )
         mean_secondary = totals / n_draws
         # Aggregate over trials: relative error shrinks with pooling.
@@ -96,7 +93,7 @@ class TestSecondaryKernel:
         base = layer_trial_batch(dense, lookups, layer.terms)
         tight = layer_trial_batch_secondary(
             dense, lookups, layer.terms,
-            SecondaryUncertainty(5000.0, 5000.0), seed=3,
+            SecondaryUncertainty(5000.0, 5000.0), 3,
         )
         # ~1% loss multipliers can be amplified by the retention clamps
         # near thresholds, so compare with a scale-based absolute
@@ -109,13 +106,47 @@ class TestSecondaryKernel:
         layer, lookups, _ = self._setup(tiny_workload)
         with pytest.raises(ValueError):
             layer_trial_batch_secondary(
-                np.array([1, 2]), lookups, layer.terms, SecondaryUncertainty()
+                np.array([1, 2]), lookups, layer.terms,
+                SecondaryUncertainty(), 0,
             )
 
     def test_year_losses_respect_aggregate_limit(self, tiny_workload):
         layer, lookups, dense = self._setup(tiny_workload)
         terms = LayerTerms(agg_limit=1e7)
         out = layer_trial_batch_secondary(
-            dense, lookups, terms, SecondaryUncertainty(2.0, 2.0), seed=5
+            dense, lookups, terms, SecondaryUncertainty(2.0, 2.0), 5
         )
         assert np.all(out <= 1e7 + 1e-6)
+
+    @pytest.mark.parametrize("split", [1, 17, 150, 299])
+    def test_split_blocks_match_one_block(self, small_workload, split):
+        """Decomposition invariance: trials [0, n) as one block equal two
+        blocks cut at any trial, the second starting at the global
+        occurrence index of its first trial."""
+        yet = small_workload.yet
+        layer, lookups, _ = self._setup(small_workload)
+        su = SecondaryUncertainty(4.0, 4.0)
+        n = 300
+        whole = layer_trial_batch_secondary(
+            yet.slice_trials(0, n).to_dense(), lookups, layer.terms, su, 11
+        )
+        head = layer_trial_batch_secondary(
+            yet.slice_trials(0, split).to_dense(), lookups, layer.terms, su, 11
+        )
+        tail = layer_trial_batch_secondary(
+            yet.slice_trials(split, n).to_dense(),
+            lookups,
+            layer.terms,
+            su,
+            11,
+            occ_base=int(yet.offsets[split]),
+        )
+        np.testing.assert_array_equal(np.concatenate([head, tail]), whole)
+
+    def test_rejects_negative_occ_base(self, tiny_workload):
+        layer, lookups, dense = self._setup(tiny_workload)
+        with pytest.raises(ValueError):
+            layer_trial_batch_secondary(
+                dense, lookups, layer.terms, SecondaryUncertainty(), 0,
+                occ_base=-1,
+            )

@@ -3,12 +3,8 @@
 The headline contract — codified by :class:`TestBitwiseMatrix` — is
 that a fleet-assembled YLT is byte-identical to a monolithic
 ``Engine.run`` of the same numeric configuration, for every
-engine x kernel x secondary combination whose multiplier streams are
-engine-portable (ragged everywhere, dense primary everywhere, dense
-secondary on the CPU engines).  The three simulated-GPU dense-secondary
-configurations deliberately seed engine-*private* streams
-(``"gpu-dense-secondary"``, see :mod:`repro.engines.gpu_common`);
-for those the fleet pins the CPU-canonical bytes of the same plan.
+engine x kernel x secondary combination and for fixed-stride
+segmentations as well as the engine's own plan.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.fleet import (
     run_workers,
     submit_sweep,
 )
-from repro.plan.execute import execute_plan_cpu
 from repro.store import MemoryStore, SharedFileStore, ylt_digest
 
 SECONDARY_SEED = 20130812
@@ -47,10 +42,6 @@ ENGINE_OPTIONS = {
     "gpu-optimized": {},
     "multi-gpu": {"n_devices": 4},
 }
-
-#: configs whose dense-secondary streams are engine-private (simulated
-#: GPU launches); the fleet pins the same-plan CPU bytes instead.
-GPU_PRIVATE_STREAMS = {"gpu", "gpu-optimized", "multi-gpu"}
 
 CONFIGS = [
     (engine, kernel, secondary)
@@ -88,51 +79,31 @@ class TestBitwiseMatrix:
             store=MemoryStore(max_entries=None),
             **opts,
         )
-        if kernel == "dense" and secondary and engine in GPU_PRIVATE_STREAMS:
-            # engine-private streams: the fleet's contract is the
-            # CPU-canonical execution of the engine's own plan
-            engine_obj = create_engine(
-                engine,
-                kernel=kernel,
-                secondary=ara.secondary,
-                secondary_seed=ara.secondary_seed,
-                dtype=ara.dtype,
-                **opts,
-            )
-            caps = engine_obj.capabilities()
-            expected = execute_plan_cpu(
-                small_workload.yet,
-                small_workload.portfolio,
-                small_workload.catalog.n_events,
-                engine_obj.plan_for(
-                    small_workload.yet, small_workload.portfolio
-                ),
-                dtype=np.dtype(caps.dtype),
-                secondary=ara.secondary,
-                secondary_seed=ara.secondary_seed,
-            )
-            assert ylt_digest(fleet.ylt) == ylt_digest(expected)
-        else:
-            mono = ara.run(small_workload.yet, engine=engine, **opts)
-            assert ylt_digest(fleet.ylt) == ylt_digest(mono.ylt)
+        mono = ara.run(small_workload.yet, engine=engine, **opts)
+        assert ylt_digest(fleet.ylt) == ylt_digest(mono.ylt)
 
+    @pytest.mark.parametrize("engine", sorted(ENGINE_OPTIONS))
+    @pytest.mark.parametrize("kernel", ["ragged", "dense"])
+    @pytest.mark.parametrize("segment_trials", [97, 250])
     def test_fixed_stride_segments_also_assemble_exactly(
-        self, small_workload
+        self, small_workload, engine, kernel, segment_trials
     ):
         """The delta-stable segmentation produces the same bytes as the
-        engine-native plan on the ragged path (decomposition-invariant
-        kernels)."""
-        ara = analysis_for(small_workload, "ragged", True)
-        mono = ara.run(small_workload.yet, engine="sequential")
+        engine-native plan with secondary uncertainty on: both kernels
+        address their draws by global occurrence index."""
+        ara = analysis_for(small_workload, kernel, True)
+        opts = ENGINE_OPTIONS[engine]
+        mono = ara.run(small_workload.yet, engine=engine, **opts)
         fleet = ara.run_fleet(
             small_workload.yet,
-            engine="sequential",
+            engine=engine,
             n_workers=2,
             store=MemoryStore(max_entries=None),
-            segment_trials=97,  # deliberately ragged-edge stride
+            segment_trials=segment_trials,  # 97: a ragged-edge stride
+            **opts,
         )
         assert ylt_digest(fleet.ylt) == ylt_digest(mono.ylt)
-        assert fleet.meta["fleet"]["n_segments"] == -(-600 // 97)
+        assert fleet.meta["fleet"]["n_segments"] == -(-600 // segment_trials)
 
 
 class TestDeltaReuse:

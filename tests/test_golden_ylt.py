@@ -41,9 +41,9 @@ UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
 
 SECONDARY_SEED = 20130812
 
-#: engines with machine-dependent default decompositions are pinned
-#: (dense secondary draws are keyed by chunk start, so a floating
-#: worker/device count would change result identity host-to-host).
+#: engines with machine-dependent default decompositions are pinned, so
+#: every host runs the same plans (a default worker/device count follows
+#: the host's cores).
 ENGINE_OPTIONS = {
     "sequential": {},
     "multicore": {"n_cores": 4},
@@ -137,12 +137,23 @@ def test_ylt_digest_matches_golden(golden, computed_digests, config):
     )
 
 
-def test_ragged_digests_agree_across_cpu_engines(computed_digests):
-    """Decomposition invariance, digest-strength: the ragged kernel's
-    sequential and multicore YLTs are byte-identical (same dtype), with
-    and without secondary uncertainty."""
-    for secondary in ("primary", "secondary"):
-        assert (
-            computed_digests[f"sequential|ragged|{secondary}"]
-            == computed_digests[f"multicore|ragged|{secondary}"]
-        )
+#: engines sharing a working precision: float64 by default, float32 for
+#: the optimised GPU engines (the paper's reduced-precision optimisation).
+DTYPE_CLASSES = {
+    "float64": ("sequential", "multicore", "gpu"),
+    "float32": ("gpu-optimized", "multi-gpu"),
+}
+
+
+@pytest.mark.parametrize("dtype_class", sorted(DTYPE_CLASSES))
+def test_digests_agree_within_dtype_class(computed_digests, dtype_class):
+    """Decomposition invariance, digest-strength: for every kernel x
+    secondary combination, engines of one working precision return
+    byte-identical YLTs."""
+    for kernel in ("ragged", "dense"):
+        for secondary in (False, True):
+            digests = {
+                engine: computed_digests[config_id(engine, kernel, secondary)]
+                for engine in DTYPE_CLASSES[dtype_class]
+            }
+            assert len(set(digests.values())) == 1, (kernel, secondary, digests)

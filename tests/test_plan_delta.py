@@ -208,30 +208,69 @@ class TestPerturbationLocality:
         assert len(keys) == 2
         assert keys[0] != keys[1]
 
-    def test_dense_secondary_keys_bound_to_trial_start(
-        self, small_workload
-    ):
-        secondary = SecondaryUncertainty(4.0, 4.0)
+    def test_dense_secondary_keys_bound_to_occ_start(self, small_workload):
+        """Both kernels draw secondary multipliers by global occurrence
+        index, so a dense secondary key binds ``occ_start`` — not the
+        trial start — exactly like a ragged one."""
         shared = dict(
             kernel="dense",
+            dtype="<f8",
+            lookup_kind="direct",
+            secondary=SecondaryUncertainty(4.0, 4.0),
+            secondary_seed=7,
+        )
+        yet, book = small_workload.yet, small_workload.portfolio
+        layer_id = book.layers[0].layer_id
+        occ = int(yet.offsets[300])
+        key = segment_key(yet, book, layer_id, 300, 600, occ, **shared)
+        # Merging trials 0 and 1 renumbers trials [300, 600) as
+        # [299, 599) without moving a single occurrence: same work.
+        merged = YearEventTable(
+            event_ids=yet.event_ids,
+            timestamps=yet.timestamps,
+            offsets=np.delete(yet.offsets, 1),
+        )
+        assert int(merged.offsets[299]) == occ
+        assert key == segment_key(
+            merged, book, layer_id, 299, 599, occ, **shared
+        )
+        # The same trial block at another occurrence position is not.
+        doubled = YearEventTable.concatenate([yet.slice_trials(300, 600)] * 2)
+        assert segment_key(
+            doubled, book, layer_id, 0, 300, 0, **shared
+        ) != segment_key(
+            doubled, book, layer_id, 300, 600, int(doubled.offsets[300]),
+            **shared,
+        )
+
+    def test_secondary_keys_carry_the_sampler(self, small_workload):
+        """A key computed under the pre-tag fingerprint tuple (Beta
+        shape and seed only) can never address the tagged sampler's
+        bytes."""
+        from repro.store import keys as store_keys
+
+        secondary = SecondaryUncertainty(4.0, 4.0)
+        yet, book = small_workload.yet, small_workload.portfolio
+        layer_id = book.layers[0].layer_id
+        args = (yet, book, layer_id, 0, 300, 0)
+        shared = dict(
+            kernel="ragged",
             dtype="<f8",
             lookup_kind="direct",
             secondary=secondary,
             secondary_seed=7,
         )
-        layer_id = small_workload.portfolio.layers[0].layer_id
-        key_a = segment_key(
-            small_workload.yet, small_workload.portfolio, layer_id,
-            0, 300, 0, **shared,
+        tagged = segment_key(*args, **shared)
+        untagged = store_keys.fingerprint_digest(
+            store_keys.SEGMENT_SCHEMA,
+            "ragged",
+            store_keys.yet_slice_fingerprint(yet, 0, 300),
+            store_keys.layer_fingerprint(book, book.layer(layer_id)),
+            "<f8",
+            "direct",
+            ("ragged", (4.0, 4.0, 7), 0),
         )
-        doubled = YearEventTable.concatenate(
-            [small_workload.yet.slice_trials(0, 300)] * 2
-        )
-        key_b = segment_key(
-            doubled, small_workload.portfolio, layer_id,
-            300, 600, int(doubled.offsets[300]), **shared,
-        )
-        assert key_a != key_b
+        assert tagged != untagged
 
     def test_changed_terms_change_only_that_layers_keys(
         self, multilayer_workload, caps
