@@ -1989,9 +1989,11 @@ def net_ablation(
     * **assemble-segments / assemble-partials** — cold sweeps over the
       wire, classic per-segment assembly vs partition/shuffle
       (``n_partitions`` reduce jobs folding partial YLTs).  Each row
-      records the *store fetches issued at assembly* on a dedicated
-      gather client — S gets vs P gets, the sublinearity the
-      benchmark's hard gate pins;
+      records the *per-key store fetches issued at assembly* on a
+      dedicated gather client (``assembly_fetches``: S gets vs P gets,
+      the sublinearity the benchmark's hard gate pins) and the round
+      trips that carried them (``assembly_rpcs``: batched reads fit
+      both in one);
     * **wire-faults** — a cold sweep with injected wire latency and
       connection drops on the surviving workers and 1 of ``n_workers``
       killed at its first compute (lease expiry + peer requeue must
@@ -2141,8 +2143,10 @@ def net_ablation(
                 raise AssertionError(
                     f"{label}: sweep did not drain cleanly: {counts}"
                 )
-            # assembly fetches on a *dedicated* gather client: its
-            # store transport carries nothing but the gather's gets.
+            # assembly reads on a *dedicated* gather client: its store
+            # counts nothing but the gather's per-key fetches (hits +
+            # misses; batched gets count one per key) and its transport
+            # nothing but the gather's store round trips.
             g_store, g_queue = remote_pair(host, port)
             ylt = gather_sweep(g_queue, g_store, ticket.sweep_id)
             seconds = time.perf_counter() - t0
@@ -2150,7 +2154,8 @@ def net_ablation(
                 "measured_seconds": seconds,
                 "segments": ticket.delta.n_segments,
                 "jobs": ticket.submitted,
-                "assembly_fetches": g_store.transport.requests,
+                "assembly_fetches": g_store.hits + g_store.misses,
+                "assembly_rpcs": g_store.transport.requests,
                 "computed": sum(w.stats.computed for w in workers),
                 "rpc_retries": sum(
                     w.store.stats()["rpc_retries"] for w in workers
@@ -2289,7 +2294,9 @@ def net_ablation(
             f"assembly fetches: {seg_row['assembly_fetches']} per-segment "
             f"gets vs {part_row['assembly_fetches']} partial-YLT gets at "
             f"{n_partitions} partitions of {n_segments} segments — the "
-            "shuffle makes gather O(P), not O(S)."
+            "shuffle makes gather O(P), not O(S); batched reads carry "
+            f"them in {seg_row['assembly_rpcs']} and "
+            f"{part_row['assembly_rpcs']} store round trips."
         )
         report.note(
             f"wire-faults row: {fault_row['workers_killed']} worker killed, "

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: fault kinds (what goes wrong)
 KIND_IO_ERROR = "io_error"  # raise OSError (transient unless unbounded)
@@ -137,6 +137,9 @@ class FaultEvent:
     spec_index: int
 
 
+_NO_MATCH = object()
+
+
 class FaultPlan:
     """A seeded, thread-safe schedule of fault events.
 
@@ -170,14 +173,26 @@ class FaultPlan:
     def fire(
         self,
         op: str,
-        key: str | None = None,
+        key: str | Sequence[str] | None = None,
         worker: str | None = None,
     ) -> List[FaultSpec]:
-        """Advance counters for ``op`` and return the specs that fire."""
+        """Advance counters for ``op`` and return the specs that fire.
+
+        ``key`` may be a sequence — the keys of one batched operation,
+        which counts once: a rule matches when any of them does, and
+        draws and logs as that first matching key.
+        """
+        if key is None or isinstance(key, str):
+            keys = [key]
+        else:
+            keys = list(key) or [None]
         fired: List[FaultSpec] = []
         with self._lock:
             for i, spec in enumerate(self.specs):
-                if not spec.matches(op, key, worker):
+                matched = next(
+                    (k for k in keys if spec.matches(op, k, worker)), _NO_MATCH
+                )
+                if matched is _NO_MATCH:
                     continue
                 self._counts[i] += 1
                 count = self._counts[i]
@@ -188,7 +203,7 @@ class FaultPlan:
                     or (spec.every is not None and count % spec.every == 0)
                     or (
                         spec.probability > 0.0
-                        and self._draw(i, op, count, key) < spec.probability
+                        and self._draw(i, op, count, matched) < spec.probability
                     )
                 )
                 if not hit:
@@ -200,7 +215,7 @@ class FaultPlan:
                         kind=spec.kind,
                         op=op,
                         count=count,
-                        key=key,
+                        key=matched,
                         worker=worker,
                         spec_index=i,
                     )

@@ -13,14 +13,23 @@ placement, no arithmetic).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.data.ylt import YearLossTable
 from repro.plan.delta import DeltaPlan
-from repro.store.base import ResultStore
-from repro.store.verify import fetch_verified
+from repro.store.base import ResultStore, StoreEntry
+from repro.store.verify import fetch_verified, verify_entry
 from repro.utils.retry import STORE_FETCH_POLICY, RetryPolicy
 
 
@@ -58,12 +67,17 @@ def _segment_specs(source) -> List[SegmentSpec]:
 class ResultAssembler:
     """Merge stored per-segment losses into the final YLT.
 
-    Segment fetches go through
+    Segments are read in one batched ``get_many`` (one round trip per
+    chunk on a remote store) and each entry is checked with
+    :func:`~repro.store.verify.verify_entry`.  Whatever the batch could
+    not serve — an absent or damaged entry, or a batch that failed
+    outright — is fetched again through
     :func:`~repro.store.verify.fetch_verified`: transient read errors
     and transient corruption are retried under ``retry_policy``, and a
     durably damaged entry is deleted from the store and reported as
     *missing* — so the caller's normal recovery path (requeue the
     missing segments, recompute, gather again) also heals corruption.
+    Hedging stores skip the batch and read every key that way.
     """
 
     def __init__(
@@ -77,10 +91,26 @@ class ResultAssembler:
     # ------------------------------------------------------------------
     def missing_keys(self, source) -> List[str]:
         """Segment keys the store cannot currently serve."""
+        keys = [key for key, *_ in _segment_specs(source)]
         return [
             key
-            for key, *_ in _segment_specs(source)
-            if not self.store.contains(key)
+            for key, found in zip(keys, self.store.contains_many(keys))
+            if not found
+        ]
+
+    def _fetch_all(self, keys: Sequence[str]) -> List[Optional[StoreEntry]]:
+        """Verified entries of ``keys`` (``None`` where unservable)."""
+        batch: Sequence[Optional[StoreEntry]] = [None] * len(keys)
+        if not getattr(self.store, "hedge", False):
+            try:
+                batch = self.store.get_many(keys)
+            except self.retry_policy.retry_on:
+                pass  # every key takes the per-key retry path below
+        return [
+            entry
+            if entry is not None and verify_entry(entry)
+            else fetch_verified(self.store, key, policy=self.retry_policy)
+            for key, entry in zip(keys, batch)
         ]
 
     def assemble(
@@ -110,34 +140,35 @@ class ResultAssembler:
             else:
                 n_trials = max(stop for _, _, _, stop in specs)
 
-        per_layer: Dict[int, np.ndarray] = {}
+        ordered = sorted(specs, key=lambda s: (s[1], s[2]))
         covered: Dict[int, int] = {}
+        for key, layer_id, start, stop in ordered:
+            at = covered.setdefault(layer_id, 0)
+            if start != at or stop > n_trials:
+                raise FleetAssemblyError(
+                    f"layer {layer_id}: segment coverage breaks at trial "
+                    f"{at} (next segment spans [{start}, {stop}) of "
+                    f"{n_trials})"
+                )
+            covered[layer_id] = stop
+
+        per_layer: Dict[int, np.ndarray] = {}
         missing: List[str] = []
-        for key, layer_id, start, stop in sorted(
-            specs, key=lambda s: (s[1], s[2])
-        ):
+        entries = self._fetch_all([key for key, *_ in ordered])
+        for (key, layer_id, start, stop), entry in zip(ordered, entries):
             out = per_layer.get(layer_id)
             if out is None:
                 out = per_layer[layer_id] = np.empty(n_trials, dtype=np.float64)
-                covered[layer_id] = 0
-            if start != covered[layer_id] or stop > n_trials:
-                raise FleetAssemblyError(
-                    f"layer {layer_id}: segment coverage breaks at trial "
-                    f"{covered[layer_id]} (next segment spans "
-                    f"[{start}, {stop}) of {n_trials})"
-                )
-            entry = fetch_verified(self.store, key, policy=self.retry_policy)
             if entry is None:
                 missing.append(key)
-            else:
-                losses = entry.arrays["losses"]
-                if losses.shape != (stop - start,):
-                    raise FleetAssemblyError(
-                        f"segment {key[:16]}… of layer {layer_id} holds "
-                        f"{losses.shape} losses for trials [{start}, {stop})"
-                    )
-                out[start:stop] = losses
-            covered[layer_id] = stop
+                continue
+            losses = entry.arrays["losses"]
+            if losses.shape != (stop - start,):
+                raise FleetAssemblyError(
+                    f"segment {key[:16]}… of layer {layer_id} holds "
+                    f"{losses.shape} losses for trials [{start}, {stop})"
+                )
+            out[start:stop] = losses
         if missing:
             raise FleetAssemblyError(
                 f"{len(missing)} segment(s) not in store "
@@ -160,10 +191,11 @@ class ResultAssembler:
         The partition/shuffle read path: fetch the ``P`` partition
         entries named by ``manifest["partitions"]`` (instead of the
         ``S`` member segments), unpack each partial's blocks and place
-        them by global trial index — ``P`` store round trips for the
-        whole sweep.  Coverage and placement rules are identical to
-        :meth:`assemble`, and since partials concatenate the exact
-        segment bytes, so is the assembled YLT.
+        them by global trial index — ``P`` store reads (one batched
+        round trip on a remote store) for the whole sweep.  Coverage
+        and placement rules are identical to :meth:`assemble`, and
+        since partials concatenate the exact segment bytes, so is the
+        assembled YLT.
 
         Raises :class:`FleetAssemblyError` when the manifest has no
         partitions or any partial is missing/damaged — callers fall
@@ -182,9 +214,8 @@ class ResultAssembler:
 
         blocks: List[Tuple[int, int, int, np.ndarray]] = []
         missing: List[str] = []
-        for partition in partitions:
-            key = str(partition["key"])
-            entry = fetch_verified(self.store, key, policy=self.retry_policy)
+        keys = [str(partition["key"]) for partition in partitions]
+        for key, entry in zip(keys, self._fetch_all(keys)):
             if entry is None:
                 missing.append(key)
                 continue

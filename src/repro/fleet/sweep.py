@@ -171,9 +171,8 @@ def submit_sweep(
         partitions = build_partitions(delta.segments, n_partitions)
         manifest["partitions"] = manifest_partitions(partitions)
         queue.save_sweep(sweep_id, manifest)
-        todo = [
-            p for p in partitions if not store.contains(p["key"])
-        ]
+        stored = store.contains_many([p["key"] for p in partitions])
+        todo = [p for p, hit in zip(partitions, stored) if not hit]
         submitted = queue.submit(reduce_jobs(sweep_id, todo))
         return SweepTicket(
             sweep_id=sweep_id,

@@ -18,11 +18,16 @@ over that transport.  Design choices worth naming:
   from a sick tier, so slotting a ``RemoteStore`` into a tier list
   buys hedged reads, quarantine and graceful degradation with no new
   code.
-* **Retries are safe by construction.**  GET/CONTAINS/STATS are pure
-  reads; PUT/DELETE are idempotent because keys are content-addressed
-  (two puts of one key carry identical bytes).  A dropped connection
-  mid-RPC therefore costs one reconnect-and-retry, never a wrong
-  state.
+* **Batched reads.**  ``get_many``/``contains_many`` send one
+  ``mget``/``mcontains`` frame per ``MAX_BATCH_KEYS`` keys (re-asking
+  for any keys an ``mget`` reply deferred), so probing or replaying a
+  stored sweep costs a constant number of round trips, not two per
+  segment.
+* **Retries are safe by construction.**  GET/CONTAINS/STATS (and
+  their batched forms) are pure reads; PUT/DELETE are idempotent
+  because keys are content-addressed (two puts of one key carry
+  identical bytes).  A dropped connection mid-RPC therefore costs one
+  reconnect-and-retry, never a wrong state.
 * **Cross-machine ``get_or_compute`` dedup** uses the server's
   lease-based LOCK op: ``_exclusive`` polls for the lock and releases
   it on exit.  When the server is unreachable the guard degrades to a
@@ -39,7 +44,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +57,9 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.net.protocol import (
+    MAX_BATCH_KEYS,
     WireProtocolError,
+    decode_batch_entry,
     decode_entry,
     encode_entry,
     pack_message,
@@ -60,7 +67,7 @@ from repro.net.protocol import (
     read_frame_size,
     unpack_payload,
 )
-from repro.store.base import ResultStore, StoreEntry
+from repro.store.base import ResultStore, StoreEntry, check_key
 from repro.utils.retry import CircuitBreaker, RetryPolicy, retry_call
 
 logger = logging.getLogger("repro.net.client")
@@ -134,10 +141,21 @@ class WireTransport:
                 sock.close()
 
     # -- chaos hook ----------------------------------------------------
-    def _inject(self, op: str, key: Optional[str], sock: socket.socket) -> None:
-        """Apply any scheduled wire fault for ``op`` (send/recv)."""
+    def _inject(
+        self, op: str, key: "str | Sequence[str] | None", sock: socket.socket
+    ) -> None:
+        """Apply any scheduled wire fault for ``op`` (send/recv).
+
+        ``key`` is the frame's key, or every key of a batched frame:
+        a ``key_substring`` rule fires on the frame when any matches.
+        """
         if self.fault_plan is None:
             return
+        if key is not None and not isinstance(key, str):
+            key = list(key)
+            label = f"a {len(key)}-key frame"
+        else:
+            label = repr(key)
         for spec in self.fault_plan.fire(op, key=key, worker=self.worker_id):
             if spec.kind == KIND_LATENCY:
                 time.sleep(spec.latency_seconds)
@@ -151,11 +169,11 @@ class WireTransport:
                 with contextlib.suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)
                 raise WireProtocolError(
-                    f"injected connection drop on {op} of {key!r}"
+                    f"injected connection drop on {op} of {label}"
                 )
             elif spec.kind == KIND_IO_ERROR:
                 raise WireProtocolError(
-                    f"injected wire fault on {op} of {key!r}"
+                    f"injected wire fault on {op} of {label}"
                 )
 
     # -- one RPC -------------------------------------------------------
@@ -167,7 +185,7 @@ class WireTransport:
         """One framed round trip.  Raises ``OSError`` flavours on any
         transport trouble (retryable), ``ValueError`` on server-rejected
         requests (not retryable)."""
-        key = header.get("key") or header.get("job_id")
+        key = header.get("keys") or header.get("key") or header.get("job_id")
         frame = pack_message(header, blobs)
         sock = self._checkout()
         try:
@@ -350,6 +368,59 @@ class RemoteStore(ResultStore):
         except WireProtocolError as exc:
             self.note_corrupt(key, str(exc))
             return None
+
+    def get_many(self, keys: Iterable[str]) -> List[Optional[StoreEntry]]:
+        """One ``mget`` round trip per :data:`MAX_BATCH_KEYS` keys (plus
+        one per deferred remainder), counted per key like :meth:`get`."""
+        keys = [check_key(key) for key in keys]
+        entries: List[Optional[StoreEntry]] = []
+        for start in range(0, len(keys), MAX_BATCH_KEYS):
+            entries.extend(self._mget(keys[start : start + MAX_BATCH_KEYS]))
+        found = sum(entry is not None for entry in entries)
+        with self._lock:
+            self.hits += found
+            self.misses += len(entries) - found
+        return entries
+
+    def _mget(self, keys: List[str]) -> List[Optional[StoreEntry]]:
+        entries: List[Optional[StoreEntry]] = []
+        pending = keys
+        while pending:
+            header, blobs = self._rpc({"op": "mget", "keys": pending})
+            answered = header.get("entries")
+            deferred = header.get("deferred")
+            if (
+                not isinstance(answered, list)
+                or not answered
+                or deferred != pending[len(answered) :]
+            ):
+                raise WireProtocolError(
+                    f"mget reply answers {answered!r:.80} and defers "
+                    f"{deferred!r:.80} for {len(pending)} keys"
+                )
+            for i, (key, entry_header) in enumerate(zip(pending, answered)):
+                try:
+                    entries.append(decode_batch_entry(i, entry_header, blobs))
+                except WireProtocolError as exc:
+                    self.note_corrupt(key, str(exc))
+                    entries.append(None)
+            pending = deferred
+        return entries
+
+    def contains_many(self, keys: Iterable[str]) -> List[bool]:
+        """One ``mcontains`` round trip per :data:`MAX_BATCH_KEYS` keys."""
+        keys = [check_key(key) for key in keys]
+        found: List[bool] = []
+        for start in range(0, len(keys), MAX_BATCH_KEYS):
+            chunk = keys[start : start + MAX_BATCH_KEYS]
+            header, _ = self._rpc({"op": "mcontains", "keys": chunk})
+            flags = header.get("found")
+            if not isinstance(flags, list) or len(flags) != len(chunk):
+                raise WireProtocolError(
+                    f"mcontains reply {flags!r:.80} for {len(chunk)} keys"
+                )
+            found.extend(bool(flag) for flag in flags)
+        return found
 
     def _put(self, key: str, entry: StoreEntry) -> None:
         header, blobs = encode_entry({"op": "put", "key": key}, entry)

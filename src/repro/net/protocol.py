@@ -24,13 +24,21 @@ attempting a multi-terabyte allocation.
 :class:`~repro.store.base.StoreEntry` onto this shape (meta in the
 header, one blob per array) — the network analogue of the file store's
 ``meta.json`` + ``.npy`` layout.
+
+Batched reads (``mget``/``mcontains``) carry up to
+:data:`MAX_BATCH_KEYS` keys in one frame.  An ``mget`` reply packs the
+entries of a *prefix* of the requested keys
+(:func:`encode_entries`: blob ``"{i}/{name}"`` holds array ``name`` of
+entry ``i``) and stops once :data:`MGET_REPLY_BUDGET_BYTES` of arrays
+are packed; the keys it did not reach come back as ``"deferred"`` and
+the client asks for them again.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +51,14 @@ MAGIC = b"RKV1"
 #: refuse to buffer frames beyond this (a garbled length prefix must
 #: fail loudly, not allocate).  Generous for YLT segments: 1 GiB.
 MAX_FRAME_BYTES = 1 << 30
+
+#: most keys one ``mget``/``mcontains`` frame may carry (clients chunk).
+MAX_BATCH_KEYS = 256
+
+#: array bytes after which a server stops packing an ``mget`` reply and
+#: defers the remaining keys — far enough under ``MAX_FRAME_BYTES``
+#: that the entry which crosses it still fits the frame.
+MGET_REPLY_BUDGET_BYTES = 64 << 20
 
 _U32 = struct.Struct(">I")
 
@@ -202,6 +218,46 @@ def decode_entry(
             )
         arrays[str(name)] = array
     return StoreEntry(arrays=arrays, meta=dict(header.get("meta") or {}))
+
+
+def encode_entries(
+    entries: Sequence[Optional[StoreEntry]],
+) -> Tuple[List[Dict[str, Any]], Dict[str, np.ndarray]]:
+    """Fold a batch of (possibly absent) entries into one message body.
+
+    Returns one header per entry (``{"found": false}`` or the entry's
+    meta and array names) plus the blobs, named ``"{i}/{array}"``.
+    """
+    headers: List[Dict[str, Any]] = []
+    blobs: Dict[str, np.ndarray] = {}
+    for i, entry in enumerate(entries):
+        if entry is None:
+            headers.append({"found": False})
+            continue
+        header, arrays = encode_entry({"found": True}, entry)
+        headers.append(header)
+        for name, array in arrays.items():
+            blobs[f"{i}/{name}"] = array
+    return headers, blobs
+
+
+def decode_batch_entry(
+    i: int, header: Any, blobs: Mapping[str, np.ndarray]
+) -> Optional[StoreEntry]:
+    """Entry ``i`` of a batch encoded by :func:`encode_entries`."""
+    if not isinstance(header, dict):
+        raise WireProtocolError(f"batch entry {i} is not an object: {header!r}")
+    if not header.get("found"):
+        return None
+    names = header.get("arrays")
+    if not isinstance(names, list):
+        raise WireProtocolError(f"batch entry {i} lists no arrays: {names!r}")
+    own = {
+        str(name): blobs[f"{i}/{name}"]
+        for name in names
+        if f"{i}/{name}" in blobs
+    }
+    return decode_entry(header, own)
 
 
 def error_header(error: str, kind: str = "server_error") -> Dict[str, Any]:

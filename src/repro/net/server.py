@@ -3,8 +3,8 @@
 One asyncio server fronts two contracts over the framing in
 :mod:`repro.net.protocol`:
 
-* a **store front**: GET/PUT/CONTAINS/DELETE/STATS plus lease-based
-  LOCK/UNLOCK, delegating to any local
+* a **store front**: GET/PUT/CONTAINS/DELETE/STATS, the batched
+  MGET/MCONTAINS, plus lease-based LOCK/UNLOCK, delegating to any local
   :class:`~repro.store.base.ResultStore` (a ``FileStore`` in
   production, a ``MemoryStore`` in tests);
 * a **queue front**: submit/claim/heartbeat/complete/fail/requeue and
@@ -38,13 +38,16 @@ import asyncio
 import logging
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fleet.jobs import FleetJob, JobQueue
 from repro.net.protocol import (
+    MAX_BATCH_KEYS,
+    MGET_REPLY_BUDGET_BYTES,
     decode_entry,
+    encode_entries,
     encode_entry,
     error_header,
     pack_message,
@@ -236,6 +239,39 @@ class NetServer:
     def _op_contains(self, header, blobs) -> bytes:
         key = check_key(str(header.get("key")))
         return self._reply({"found": bool(self.store.contains(key))})
+
+    @staticmethod
+    def _batch_keys(header) -> List[str]:
+        keys = header.get("keys")
+        if not isinstance(keys, list):
+            raise ValueError(f"batched requests carry a key list, got {keys!r}")
+        if len(keys) > MAX_BATCH_KEYS:
+            raise ValueError(
+                f"{len(keys)} keys in one frame (limit {MAX_BATCH_KEYS})"
+            )
+        return [check_key(key) for key in keys]
+
+    def _op_mget(self, header, blobs) -> bytes:
+        """Entries of a prefix of ``keys``; the rest come back deferred
+        once ``MGET_REPLY_BUDGET_BYTES`` of arrays are packed."""
+        keys = self._batch_keys(header)
+        entries = []
+        packed = 0
+        for key in keys:
+            if packed >= MGET_REPLY_BUDGET_BYTES:
+                break
+            entry = self.store.get(key)
+            entries.append(entry)
+            packed += 0 if entry is None else entry.nbytes
+        headers, reply_blobs = encode_entries(entries)
+        return self._reply(
+            {"entries": headers, "deferred": keys[len(entries):]},
+            reply_blobs,
+        )
+
+    def _op_mcontains(self, header, blobs) -> bytes:
+        keys = self._batch_keys(header)
+        return self._reply({"found": self.store.contains_many(keys)})
 
     def _op_delete(self, header, blobs) -> bytes:
         key = check_key(str(header.get("key")))

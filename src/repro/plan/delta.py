@@ -20,6 +20,7 @@ monolithic run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Tuple
 
 from repro.plan.plan import ExecutionPlan, PlanTask
@@ -129,8 +130,12 @@ class DeltaPlan:
         Two delta plans fingerprint equal iff they decompose the same
         way, derive the same segment keys, and found the same segments
         stored — the determinism contract the fleet's resubmit
-        idempotence rests on.
+        idempotence rests on.  Computed once per delta plan.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         from repro.store.keys import fingerprint_digest  # deferred import
 
         return fingerprint_digest(

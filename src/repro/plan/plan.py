@@ -24,6 +24,7 @@ joined at the layer barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Tuple
 
 from repro.utils.rng import stable_hash_seed
@@ -184,7 +185,12 @@ class ExecutionPlan:
         Two plans with identical task layouts (and kernel/balance) hash
         equal; any change to a boundary changes the fingerprint.  Used
         in engine meta and as a component of plan-level cache keys.
+        Computed once per plan (the fields it covers are immutable).
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> int:
         parts: List[int | str] = [
             self.n_trials,
             self.n_occurrences,

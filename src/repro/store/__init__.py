@@ -58,6 +58,7 @@ from repro.store.keys import (
     portfolio_fingerprint,
     secondary_fingerprint,
     segment_key,
+    segment_keys,
     yet_slice_fingerprint,
     ylt_digest,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "portfolio_fingerprint",
     "secondary_fingerprint",
     "segment_key",
+    "segment_keys",
     "layer_fingerprint",
     "yet_slice_fingerprint",
     "ylt_digest",

@@ -25,7 +25,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -157,6 +157,26 @@ class ResultStore(abc.ABC):
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
+
+    def get_many(self, keys: Iterable[str]) -> List[Optional[StoreEntry]]:
+        """Counted batched lookup: ``[self.get(k) for k in keys]``.
+
+        One result per requested key, in request order (duplicates
+        included), with one hit or miss counted per key.  Every key is
+        validated before any is read.  This default loops over
+        :meth:`get`, so wrappers that act per read (fault injection,
+        tier promotion) keep their exact semantics; backends with a
+        cheaper bulk path (:class:`~repro.net.client.RemoteStore`:
+        one round trip per chunk) override it.
+        """
+        keys = [check_key(key) for key in keys]
+        return [self.get(key) for key in keys]
+
+    def contains_many(self, keys: Iterable[str]) -> List[bool]:
+        """Batched existence probe: ``[self.contains(k) for k in keys]``
+        (validated up front, no hit/miss counting)."""
+        keys = [check_key(key) for key in keys]
+        return [self.contains(key) for key in keys]
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; ``True`` when an entry was removed.

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from typing import Any
+from typing import Any, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -198,25 +198,26 @@ def layer_fingerprint(portfolio: Portfolio, layer: Layer) -> tuple:
     )
 
 
-def segment_key(
+#: one segment to key: (layer_id, trial_start, trial_stop, occ_start)
+SegmentTask = Tuple[int, int, int, int]
+
+
+def segment_keys(
     yet: YearEventTable,
     portfolio: Portfolio,
-    layer_id: int,
-    trial_start: int,
-    trial_stop: int,
-    occ_start: int,
+    segments: Iterable[SegmentTask],
     kernel: str,
     dtype: str,
     lookup_kind: str,
     secondary=None,
     secondary_seed: int = 0,
-    layer_fp: tuple | None = None,
-) -> str:
-    """The store key of one segment: a (layer, trial-range) of work.
+) -> List[str]:
+    """The store keys of many segments: (layer, trial-range)s of work.
 
-    This is the fleet's unit of memoisation — one
-    :class:`~repro.plan.plan.PlanTask` worth of per-trial year losses.
-    The key covers the trial slice's *content* (not its position), the
+    A segment is the fleet's unit of memoisation — one
+    :class:`~repro.plan.plan.PlanTask` worth of per-trial year losses,
+    given here as ``(layer_id, trial_start, trial_stop, occ_start)``.
+    Its key covers the trial slice's *content* (not its position), the
     layer's full numeric identity, and the kernel/precision/lookup
     configuration; deterministic configurations therefore share
     segments across sweeps, across portfolio perturbations that leave a
@@ -229,28 +230,76 @@ def segment_key(
     position, so a repeated block of trials is recognised as the same
     work wherever it lands.
 
-    ``layer_fp`` lets a caller deriving many keys of one layer pass the
-    precomputed :func:`layer_fingerprint` (the planner fingerprints
-    each layer once per delta plan, not once per segment).
+    Each key is ``fingerprint_digest(SEGMENT_SCHEMA, kernel, slice
+    fingerprint, layer fingerprint, dtype, lookup kind, stream)``.
+    Rather than re-serialising the (kilobyte-sized) layer fingerprint
+    and re-hashing the trial slice for every segment, each layer and
+    each distinct trial range is serialised once and the pieces are
+    spliced into the same canonical bytes.
     """
-    stream = None
-    if secondary is not None:
-        stream = (
-            str(kernel),
-            secondary_fingerprint(secondary, secondary_seed),
-            int(occ_start),
+    kernel = str(kernel)
+    # canonical_bytes of the 7-part key tuple, built from its pieces:
+    # b"L" + u32(7), then each part's own serialisation in order.
+    head = bytearray(b"L" + struct.pack("<I", 7))
+    _serialise(SEGMENT_SCHEMA, head)
+    _serialise(kernel, head)
+    config = bytearray()
+    _serialise(str(np.dtype(dtype).str), config)
+    _serialise(str(lookup_kind), config)
+    secondary_fp = secondary_fingerprint(secondary, secondary_seed)
+    layer_bytes: Dict[int, bytes] = {}
+    slice_bytes: Dict[Tuple[int, int], bytes] = {}
+    keys: List[str] = []
+    for layer_id, trial_start, trial_stop, occ_start in segments:
+        layer = layer_bytes.get(layer_id)
+        if layer is None:
+            layer = layer_bytes[layer_id] = canonical_bytes(
+                layer_fingerprint(portfolio, portfolio.layer(layer_id))
+            )
+        span = (int(trial_start), int(trial_stop))
+        trials = slice_bytes.get(span)
+        if trials is None:
+            trials = slice_bytes[span] = canonical_bytes(
+                yet_slice_fingerprint(yet, *span)
+            )
+        stream = None
+        if secondary_fp is not None:
+            stream = (kernel, secondary_fp, int(occ_start))
+        keys.append(
+            hashlib.sha256(
+                b"".join(
+                    (head, trials, layer, config, canonical_bytes(stream))
+                )
+            ).hexdigest()
         )
-    if layer_fp is None:
-        layer_fp = layer_fingerprint(portfolio, portfolio.layer(layer_id))
-    return fingerprint_digest(
-        SEGMENT_SCHEMA,
-        str(kernel),
-        yet_slice_fingerprint(yet, trial_start, trial_stop),
-        layer_fp,
-        str(np.dtype(dtype).str),
-        str(lookup_kind),
-        stream,
+    return keys
+
+
+def segment_key(
+    yet: YearEventTable,
+    portfolio: Portfolio,
+    layer_id: int,
+    trial_start: int,
+    trial_stop: int,
+    occ_start: int,
+    kernel: str,
+    dtype: str,
+    lookup_kind: str,
+    secondary=None,
+    secondary_seed: int = 0,
+) -> str:
+    """The store key of one segment (see :func:`segment_keys`)."""
+    (key,) = segment_keys(
+        yet,
+        portfolio,
+        [(layer_id, trial_start, trial_stop, occ_start)],
+        kernel=kernel,
+        dtype=dtype,
+        lookup_kind=lookup_kind,
+        secondary=secondary,
+        secondary_seed=secondary_seed,
     )
+    return key
 
 
 def scenario_result_key(

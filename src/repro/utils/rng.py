@@ -8,7 +8,7 @@ independent child streams for parallel workers.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -44,21 +44,27 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
+#: 64-bit FNV-1a parameters.
+_FNV_OFFSET = 1469598103934665603
+_FNV_PRIME = 1099511628211
+_MASK64 = (1 << 64) - 1
+
+
 def stable_hash_seed(*parts: Union[int, str]) -> int:
     """Deterministically derive a 63-bit seed from mixed int/str parts.
 
     Used by generators to give every (trial chunk, ELT id, ...) a
-    reproducible stream independent of generation order.
+    reproducible stream independent of generation order.  64-bit
+    FNV-1a over each str's UTF-8 bytes and each int's 8 little-endian
+    two's-complement bytes, top bit dropped; plain Python ints keep it
+    cheap enough for plan fingerprints of thousands of tasks.
     """
-    acc = np.uint64(1469598103934665603)  # FNV-1a offset basis
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for part in parts:
-            data: Sequence[int]
-            if isinstance(part, str):
-                data = part.encode("utf-8")
-            else:
-                data = int(part).to_bytes(8, "little", signed=True)
-            for byte in data:
-                acc = np.uint64(acc ^ np.uint64(byte)) * prime
-    return int(acc & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
+    acc = _FNV_OFFSET
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+        else:
+            data = int(part).to_bytes(8, "little", signed=True)
+        for byte in data:
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
+    return acc & 0x7FFF_FFFF_FFFF_FFFF

@@ -6,6 +6,7 @@ under injected wire latency and one worker killed mid-sweep."""
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
@@ -14,11 +15,20 @@ from repro.core.analysis import AggregateRiskAnalysis
 from repro.engines.registry import create_engine
 from repro.faults.plan import KIND_KILL, OP_COMPUTE, FaultPlan, FaultSpec, WorkerKilled
 from repro.faults.wire import wire_chaos_plan
-from repro.fleet import FleetWorker, JobQueue, context_for_engine, gather_sweep, submit_sweep
+from repro.data.generator import generate_workload
+from repro.data.presets import BENCH_SMALL
+from repro.fleet import (
+    FleetWorker,
+    JobQueue,
+    context_for_engine,
+    gather_sweep,
+    run_workers,
+    submit_sweep,
+)
 from repro.net.client import RemoteStore
 from repro.net.queue import RemoteJobQueue
 from repro.net.server import NetServer, ServerThread
-from repro.store import SharedFileStore, ylt_digest
+from repro.store import MemoryStore, SharedFileStore, ylt_digest
 from repro.utils.retry import RetryPolicy
 
 FAST_RETRY = RetryPolicy(
@@ -188,3 +198,69 @@ class TestThreeWorkerFleet:
             worker.run(sweep_id=ticket.sweep_id)
             ylt = gather_sweep(queue, store, ticket.sweep_id)
             assert ylt_digest(ylt) == ylt_digest(mono.ylt)
+
+
+#: 256 trials x 2 layers: strides 16 and 4 give 32 and 128 segments.
+RPC_SPEC = BENCH_SMALL.with_(
+    name="rpc-count",
+    n_trials=256,
+    events_per_trial=5,
+    catalog_size=800,
+    losses_per_elt=80,
+    elts_per_layer=2,
+    n_layers=2,
+)
+
+
+class TestRoundTripCounts:
+    def test_replay_and_gather_round_trips_do_not_grow_with_segments(
+        self, tmp_path
+    ):
+        """Batched probes and reads: a fully stored sweep replays in a
+        constant number of RPCs, and a cold gather reads its S segments
+        in one ``mget`` per 256 keys."""
+        wl = generate_workload(RPC_SPEC)
+        engine = create_engine("sequential")
+        n_events = wl.catalog.n_events
+        reference = ylt_digest(engine.run(wl.yet, wl.portfolio, n_events).ylt)
+        ctx = context_for_engine(wl.yet, wl.portfolio, n_events, engine)
+        replay_rpcs = {}
+        for stride in (16, 4):
+            server = NetServer(
+                MemoryStore(max_entries=None),
+                queue=JobQueue(tmp_path / f"q{stride}"),
+            )
+            with ServerThread(server) as (host, port):
+
+                def submit(store, queue):
+                    return submit_sweep(
+                        queue, store, wl.yet, wl.portfolio, n_events, engine,
+                        segment_trials=stride,
+                    )
+
+                store, queue = remote_pair(host, port)
+                ticket = submit(store, queue)
+                n_segments = ticket.delta.n_segments
+                run_workers(
+                    queue, store, contexts={ticket.sweep_id: ctx},
+                    n_workers=1, sweep_id=ticket.sweep_id,
+                )
+                g_store, g_queue = remote_pair(host, port)
+                ylt = gather_sweep(g_queue, g_store, ticket.sweep_id)
+                assert ylt_digest(ylt) == reference
+                assert g_store.transport.requests <= math.ceil(
+                    n_segments / 256
+                ) + 1
+
+                r_store, r_queue = remote_pair(host, port)
+                replay = submit(r_store, r_queue)
+                assert replay.submitted == 0
+                ylt = gather_sweep(r_queue, r_store, replay.sweep_id)
+                assert ylt_digest(ylt) == reference
+                replay_rpcs[n_segments] = (
+                    r_store.transport.requests + r_queue.transport.requests
+                )
+                for client in (store, queue, g_store, g_queue, r_store, r_queue):
+                    client.close()
+        assert sorted(replay_rpcs) == [32, 128]
+        assert replay_rpcs[32] == replay_rpcs[128] <= 6, replay_rpcs
